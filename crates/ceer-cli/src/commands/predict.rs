@@ -1,8 +1,7 @@
 //! `ceer predict` — training time/cost prediction for one configuration.
 
-use ceer_core::EstimateOptions;
-use ceer_graph::models::Cnn;
-use ceer_graph::{DeviceClass, Graph};
+use ceer_core::{plan, EstimateOptions, PredictPlan};
+use ceer_graph::Graph;
 use ceer_serve::api::{self, PredictRequest};
 
 use crate::args::Args;
@@ -40,7 +39,7 @@ pub(crate) fn run(args: &Args) -> Result<(), String> {
         parse_gpu(name)?; // reject bad names before the (costlier) graph build
     }
     let gpus = args.opt_parse("--gpus", 1u32)?;
-    let mut batch = args.opt_parse("--batch", 32u64)?;
+    let batch = args.opt_parse("--batch", 32u64)?;
     let samples = args.opt_parse("--samples", 1_200_000u64)?;
     let json = args.flag("--json");
     crate::commands::apply_threads(args)?;
@@ -49,25 +48,39 @@ pub(crate) fn run(args: &Args) -> Result<(), String> {
         return Err("--gpus, --batch and --samples must be positive".into());
     }
 
-    let (name, graph) = match (cnn_arg, graph_arg) {
+    let mut request = PredictRequest {
+        cnn: String::new(),
+        gpu,
+        gpus,
+        batch,
+        samples,
+        options: EstimateOptions::default(),
+    };
+    // The same evaluations the HTTP service runs for `POST /predict`: a zoo
+    // CNN from its memoized plan, a custom graph compiled for this call.
+    let (response, coverage) = match (cnn_arg, graph_arg) {
         (Some(_), Some(_)) => {
             return Err("pass either --cnn or --graph, not both".into());
         }
         (Some(cnn_name), None) => {
             let id = parse_cnn(&cnn_name)?;
-            (id.name().to_string(), Cnn::build(id, batch).training_graph())
+            request.cnn = id.name().to_string();
+            let response = api::predict(&model, &request)?;
+            (response, model.plan_coverage(&plan::memoized(id, batch)))
         }
         (None, Some(path)) => {
             let json =
                 std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
             let graph = Graph::from_json(&json)?;
-            batch = infer_batch(&graph)
+            request.batch = graph
+                .input_batch()
                 .ok_or("graph has no rank-4 input placeholder to infer the batch from")?;
-            (graph.name().to_string(), graph)
+            request.cnn = graph.name().to_string();
+            let plan = PredictPlan::compile(&graph);
+            (api::predict_plan(&model, graph.name(), &plan, &request)?, model.plan_coverage(&plan))
         }
         (None, None) => return Err("missing required option --cnn (or --graph)".into()),
     };
-    let coverage = model.coverage(&graph);
     if !coverage.is_fully_covered() {
         eprintln!(
             "warning: heavy operations without fitted models: {:?} — the paper \
@@ -75,17 +88,6 @@ pub(crate) fn run(args: &Args) -> Result<(), String> {
             coverage.uncovered_heavy
         );
     }
-
-    // The same evaluation the HTTP service runs for `POST /predict`.
-    let request = PredictRequest {
-        cnn: name.clone(),
-        gpu,
-        gpus,
-        batch,
-        samples,
-        options: EstimateOptions::default(),
-    };
-    let response = api::predict_graph(&model, &name, &graph, &request)?;
 
     if json {
         println!(
@@ -97,9 +99,11 @@ pub(crate) fn run(args: &Args) -> Result<(), String> {
     }
 
     println!(
-        "{name} — {:.1}M parameters, {} ops, batch {batch}/GPU, {gpus} GPU(s)\n",
+        "{} — {:.1}M parameters, {} ops, batch {}/GPU, {gpus} GPU(s)\n",
+        response.cnn,
         response.parameters as f64 / 1e6,
-        response.ops
+        response.ops,
+        response.batch
     );
     println!(
         "{:24} {:>12} {:>10} {:>14} {:>12}",
@@ -118,36 +122,9 @@ pub(crate) fn run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Infers the per-GPU batch size from the graph's input placeholder (the
-/// first rank-4 GPU tensor produced with no inputs).
-fn infer_batch(graph: &Graph) -> Option<u64> {
-    graph
-        .nodes()
-        .iter()
-        .find(|n| {
-            n.inputs().is_empty()
-                && n.output_shape().rank() == 4
-                && n.kind().device_class() == DeviceClass::Gpu
-        })
-        .map(|n| n.output_shape().batch())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ceer_graph::models::CnnId;
-
-    #[test]
-    fn infer_batch_finds_the_placeholder() {
-        let graph = Cnn::build(CnnId::AlexNet, 24).training_graph();
-        assert_eq!(infer_batch(&graph), Some(24));
-    }
-
-    #[test]
-    fn infer_batch_none_without_rank4_placeholder() {
-        let g = Graph::new("empty");
-        assert_eq!(infer_batch(&g), None);
-    }
 
     #[test]
     fn requires_cnn_or_graph() {

@@ -591,3 +591,31 @@ fn shard_durability_survives_restart() {
         .unwrap();
     assert_eq!(shard.version(), ModelVersion(2));
 }
+
+/// A request past a GPU model's largest offering is a bad request, not a
+/// shard crash: the shard answers `PredictBad` (a 400 naming the limit),
+/// counts it, and stays up to serve the next request.
+#[test]
+fn out_of_range_request_is_a_400_and_the_shard_stays_up() {
+    let model = tiny_model(1);
+    let bad = "{\"cnn\": \"vgg11\", \"gpus\": 5}";
+    let script =
+        vec![ScriptEntry::post(30, "/predict", bad), ScriptEntry::post(300, "/predict", BODY_B32)];
+    let mut built = build_cluster(chaos_seed(), None, script, &model, &model, 2, 2, |_| {}, |_| {});
+    built.sim.run_until(1_000);
+
+    let client = built.sim.node::<SimClient>(built.client).unwrap();
+    let answers = client.answers_by_id();
+    assert_eq!(answers.len(), 2, "both requests answered");
+    assert_eq!(answers[0].status, 400);
+    assert!(answers[0].body.contains("largest P3 offering (4 GPUs)"), "{}", answers[0].body);
+    assert_eq!(answers[1].status, 200);
+    assert_eq!(answers[1].body, direct(&model, BODY_B32));
+    let bad_requests: u64 = built
+        .shards
+        .iter()
+        .filter_map(|&id| built.sim.node::<ShardNode>(id))
+        .map(|s| s.stats().bad_requests)
+        .sum();
+    assert_eq!(bad_requests, 1, "exactly one shard rejected the request, once");
+}

@@ -8,10 +8,10 @@ use ceer_graph::models::Cnn;
 use ceer_graph::{Graph, OpKind};
 use serde::{Deserialize, Serialize};
 
-use crate::classify::{Classification, OpClass};
+use crate::classify::Classification;
 use crate::comm::CommModel;
-use crate::features;
 use crate::opmodel::OpModel;
+use crate::plan::PredictPlan;
 
 /// Term-inclusion switches for the estimator — the paper quantifies the
 /// error of dropping each term (§IV-A/B: ignoring light + CPU ops costs
@@ -170,7 +170,10 @@ impl CeerModel {
     /// `gpus` GPUs of `gpu`, broken down by term.
     ///
     /// `graph` must be a *training* graph (forward + backward), as produced
-    /// by [`Cnn::training_graph`].
+    /// by [`Cnn::training_graph`]. Compiles the graph and evaluates the plan;
+    /// compile once with [`PredictPlan::compile`] (or take a memoized zoo
+    /// plan from [`plan::memoized`](crate::plan::memoized)) and call
+    /// [`predict_plan`](Self::predict_plan) in loops.
     pub fn predict_iteration(
         &self,
         graph: &Graph,
@@ -178,48 +181,45 @@ impl CeerModel {
         gpus: u32,
         options: &EstimateOptions,
     ) -> IterationEstimate {
-        let mut estimate = IterationEstimate::default();
-        for node in graph.topological() {
-            match self.classification.class_of(node.kind()) {
-                OpClass::Heavy => {
-                    let f = features::extract(node, graph);
-                    match self.op_models.get(&(node.kind(), gpu)) {
-                        Some(model) => {
-                            estimate.heavy_us += model.predict_us(&f);
-                            let s = model.residual_std_us();
-                            estimate.variance_us2 += s * s;
-                        }
-                        // Heavy kind never seen on this GPU during training:
-                        // the paper says Ceer must be retrained for truly new
-                        // ops (§IV-D); the graceful fallback is the light
-                        // median, which at least keeps the op counted.
-                        None => estimate.heavy_us += self.light_median_us,
-                    }
-                }
-                OpClass::Light => {
-                    if options.include_light {
-                        estimate.light_us += self.light_median_us;
-                    }
-                }
-                OpClass::Cpu => {
-                    if options.include_cpu {
-                        estimate.cpu_us += self.cpu_median_us;
-                    }
-                }
-            }
-        }
-        if options.include_comm {
-            estimate.comm_us =
-                self.comm.predict_us(gpu, gpus, graph.parameter_count()).unwrap_or(0.0);
-            let s = self.comm.residual_std_us(gpu, gpus);
-            estimate.variance_us2 += s * s;
-        }
+        self.predict_plan(&PredictPlan::compile(graph), gpu, gpus, options)
+    }
+
+    /// Predicts the per-iteration training time of a compiled training
+    /// graph on `gpus` GPUs of `gpu`, broken down by term: Σ heavy-op
+    /// regressions (the light median for a heavy kind without one), the
+    /// light and CPU medians once per operation, then `S_GPU(CNN)`.
+    pub fn predict_plan(
+        &self,
+        plan: &PredictPlan,
+        gpu: GpuModel,
+        gpus: u32,
+        options: &EstimateOptions,
+    ) -> IterationEstimate {
+        let mut estimate = plan.node_terms(self, gpu, options);
+        self.add_comm(&mut estimate, gpu, gpus, plan.parameter_count(), options);
         estimate
     }
 
-    /// Predicts the per-iteration training time of `cnn` (expands its
-    /// training graph; cache the graph and use
-    /// [`predict_iteration`](Self::predict_iteration) in loops).
+    /// Adds the communication term — always the last addition to an
+    /// estimate, so the GPU-count-independent terms can be shared across
+    /// counts.
+    pub(crate) fn add_comm(
+        &self,
+        estimate: &mut IterationEstimate,
+        gpu: GpuModel,
+        gpus: u32,
+        parameters: u64,
+        options: &EstimateOptions,
+    ) {
+        if options.include_comm {
+            estimate.comm_us = self.comm.predict_us(gpu, gpus, parameters).unwrap_or(0.0);
+            let s = self.comm.residual_std_us(gpu, gpus);
+            estimate.variance_us2 += s * s;
+        }
+    }
+
+    /// Predicts the per-iteration training time of `cnn` from its memoized
+    /// plan ([`plan::memoized`](crate::plan::memoized)).
     pub fn predict_iteration_for(
         &self,
         cnn: &Cnn,
@@ -227,8 +227,7 @@ impl CeerModel {
         gpus: u32,
         options: &EstimateOptions,
     ) -> IterationEstimate {
-        let graph = cnn.training_graph();
-        self.predict_iteration(&graph, gpu, gpus, options)
+        self.predict_plan(&crate::plan::memoized(cnn.id(), cnn.batch()), gpu, gpus, options)
     }
 
     /// Predicts the time (µs) to train one epoch of `total_samples` samples:

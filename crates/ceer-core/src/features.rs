@@ -76,6 +76,29 @@ fn window_over_stride(attrs: OpAttrs) -> f64 {
 /// building training designs from profiles and when predicting for unseen
 /// CNNs, so the two can never drift apart.
 pub fn extract(node: &Node, graph: &Graph) -> Features {
+    let linear = extract_linear(node, graph);
+    let quadratic_extra = vec![quadratic_extra(node.kind(), &linear)];
+    Features { linear, quadratic_extra }
+}
+
+/// The extra feature of the quadratic model variant, from the linear ones:
+/// the primary input size times the work feature for the convolution
+/// family, the primary input size squared otherwise.
+///
+/// [`extract`] builds [`Features::quadratic_extra`] with this, and a
+/// compiled plan stores only linear features and recomputes the extra here,
+/// so the two agree bit for bit.
+pub fn quadratic_extra(kind: OpKind, linear: &[f64]) -> f64 {
+    use OpKind::*;
+    match (kind, linear) {
+        (Conv2D | Conv2DBackpropInput | Conv2DBackpropFilter, [first, .., work]) => first * work,
+        (_, [first, ..]) => first * first,
+        (_, []) => 0.0,
+    }
+}
+
+/// The linear features of `node` (see [`extract`]).
+pub(crate) fn extract_linear(node: &Node, graph: &Graph) -> Vec<f64> {
     use OpKind::*;
     let input_mb = graph.input_bytes(node.id()) as f64 / MB;
     let output_mb = node.output_shape().bytes() as f64 / MB;
@@ -89,10 +112,7 @@ pub fn extract(node: &Node, graph: &Graph) -> Features {
             // count) the paper says the conv models need (§III-C).
             let cout = node.output_shape().channels() as f64;
             let work = input_mb * window_over_stride(node.attrs()) * cout / WORK_SCALE;
-            Features {
-                linear: vec![input_mb, param_mb, work],
-                quadratic_extra: vec![input_mb * work],
-            }
+            vec![input_mb, param_mb, work]
         }
         Conv2DBackpropInput => {
             // Input is the upstream gradient dy; the work scales it by the
@@ -103,10 +123,7 @@ pub fn extract(node: &Node, graph: &Graph) -> Features {
                 _ => 1.0,
             };
             let work = input_mb * kernel * cout / WORK_SCALE;
-            Features {
-                linear: vec![input_mb, output_mb, work],
-                quadratic_extra: vec![input_mb * work],
-            }
+            vec![input_mb, output_mb, work]
         }
         Conv2DBackpropFilter => {
             // Inputs are [x, dy]; the work scales dy by the window area and
@@ -119,23 +136,19 @@ pub fn extract(node: &Node, graph: &Graph) -> Features {
                 _ => 1.0,
             };
             let work = dy_mb * kernel * cin / WORK_SCALE;
-            Features { linear: vec![input_mb, work], quadratic_extra: vec![input_mb * work] }
+            vec![input_mb, work]
         }
         MatMul => {
             // Work scales with (rows × inner) × output columns.
             let out_cols = node.output_shape().channels() as f64;
             let first_mb =
                 graph.input_shapes(node.id()).first().map(|s| s.bytes() as f64 / MB).unwrap_or(0.0);
-            Features {
-                linear: vec![input_mb, first_mb * out_cols],
-                quadratic_extra: vec![input_mb * input_mb],
-            }
+            vec![input_mb, first_mb * out_cols]
         }
-        MaxPool | AvgPool | AvgPoolGrad | MaxPoolGrad => Features {
-            linear: vec![input_mb, output_mb * window_over_stride(node.attrs())],
-            quadratic_extra: vec![input_mb * input_mb],
-        },
-        _ => Features { linear: vec![input_mb], quadratic_extra: vec![input_mb * input_mb] },
+        MaxPool | AvgPool | AvgPoolGrad | MaxPoolGrad => {
+            vec![input_mb, output_mb * window_over_stride(node.attrs())]
+        }
+        _ => vec![input_mb],
     }
 }
 

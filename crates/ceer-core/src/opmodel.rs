@@ -12,7 +12,7 @@ use ceer_graph::OpKind;
 use ceer_stats::regression::{adjusted_r_squared, MultipleOls, NormalAccumulator};
 use serde::{Deserialize, Serialize};
 
-use crate::features::Features;
+use crate::features::{self, Features};
 
 /// Which functional form the selection kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,9 +81,38 @@ impl OpModel {
     /// Predicted compute time (µs) for an instance with `features`. Never
     /// negative: regression extrapolation is clamped at zero.
     pub fn predict_us(&self, features: &Features) -> f64 {
+        self.predict_parts(&features.linear, &features.quadratic_extra)
+    }
+
+    /// Predicted compute time (µs) from an instance's linear features alone,
+    /// the quadratic extra recomputed by [`features::quadratic_extra`] —
+    /// bit-identical to [`predict_us`](Self::predict_us) on the
+    /// [`features::extract`] output the linear features came from.
+    pub(crate) fn predict_linear_us(&self, linear: &[f64]) -> f64 {
+        self.predict_parts(linear, &[features::quadratic_extra(self.kind, linear)])
+    }
+
+    fn predict_parts(&self, linear: &[f64], extra: &[f64]) -> f64 {
         let raw = match (&self.form, &self.ols) {
-            (ModelForm::Linear, Some(ols)) => ols.predict(&features.linear),
-            (ModelForm::Quadratic, Some(ols)) => ols.predict(&features.quadratic()),
+            (ModelForm::Linear, Some(ols)) => ols.predict(linear),
+            (ModelForm::Quadratic, Some(ols)) => {
+                // linear ++ extra on the stack: at most 3 + 1 features.
+                let mut row = [0.0; 4];
+                let n = linear.len() + extra.len();
+                match row.get_mut(..n) {
+                    Some(slot) => {
+                        let (head, tail) = slot.split_at_mut(linear.len());
+                        head.copy_from_slice(linear);
+                        tail.copy_from_slice(extra);
+                        ols.predict(slot)
+                    }
+                    None => {
+                        let mut row = linear.to_vec();
+                        row.extend_from_slice(extra);
+                        ols.predict(&row)
+                    }
+                }
+            }
             _ => self.mean_us,
         };
         raw.max(0.0)

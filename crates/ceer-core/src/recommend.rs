@@ -9,10 +9,12 @@
 //! minimization (Figs. 11–12).
 
 use ceer_cloud::{Catalog, Instance};
+use ceer_gpusim::GpuModel;
 use ceer_graph::models::Cnn;
 use serde::{Deserialize, Serialize};
 
-use crate::estimate::{CeerModel, EstimateOptions};
+use crate::estimate::{CeerModel, EstimateOptions, IterationEstimate};
+use crate::plan::PredictPlan;
 
 /// What is being trained and how wide the search may go.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,43 +194,72 @@ impl Recommendation {
 
 impl CeerModel {
     /// Evaluates every candidate instance (all four GPU models ×
-    /// 1..=`max_gpus` GPUs) for training `cnn` over the workload.
-    ///
-    /// Candidates are independent, so the sweep runs on the [`ceer_par`]
-    /// worker pool; the returned vector keeps the catalog's enumeration
-    /// order and is bit-identical at every thread count.
+    /// 1..=`max_gpus` GPUs) for training `cnn` over the workload, from the
+    /// CNN's memoized plan ([`plan::memoized`](crate::plan::memoized)).
     pub fn evaluate_candidates(
         &self,
         cnn: &Cnn,
         catalog: &Catalog,
         workload: &Workload,
     ) -> Vec<Candidate> {
-        let graph = cnn.training_graph();
+        let plan = crate::plan::memoized(cnn.id(), cnn.batch());
+        self.evaluate_plan_candidates(&plan, catalog, workload)
+    }
+
+    /// [`evaluate_candidates`](Self::evaluate_candidates) for a compiled
+    /// plan, in the catalog's enumeration order.
+    ///
+    /// The heavy, light and CPU terms do not depend on the GPU count, so
+    /// they are evaluated once per GPU model; each candidate then adds its
+    /// count's communication term last, exactly where a full per-candidate
+    /// estimate adds it, so every figure is bit-identical to one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan records no batch ([`PredictPlan::batch`]), or if
+    /// `max_gpus` exceeds a GPU model's largest offering.
+    pub fn evaluate_plan_candidates(
+        &self,
+        plan: &PredictPlan,
+        catalog: &Catalog,
+        workload: &Workload,
+    ) -> Vec<Candidate> {
         let options = EstimateOptions::default();
-        let memory = ceer_graph::analysis::estimate_memory(&graph);
-        let instances = catalog.enumerate(workload.max_gpus);
-        ceer_par::par_map(&instances, |instance| {
-            let time_us = workload.epochs as f64
-                * self.predict_epoch_us(
-                    cnn,
-                    &graph,
-                    instance.gpu(),
-                    instance.gpu_count(),
-                    workload.total_samples,
-                    &options,
-                );
-            let cost = time_us * instance.usd_per_microsecond();
-            // Data parallelism replicates the full model on every GPU,
-            // so the per-GPU requirement does not shrink with the count.
-            let fits_memory =
-                !workload.enforce_memory_fit || memory.fits_gib(instance.gpu().spec().memory_gib);
-            Candidate {
-                instance: instance.clone(),
-                predicted_time_us: time_us,
-                predicted_cost_usd: cost,
-                fits_memory,
-            }
-        })
+        // ceer-lint: allow(panic-reachability) -- documented precondition: plans of zoo CNNs and training graphs always carry their input batch
+        let batch = plan.batch().expect("plan records its batch");
+        let memory = plan.memory();
+        let mut node_terms: Vec<(GpuModel, IterationEstimate)> = Vec::new();
+        catalog
+            .enumerate(workload.max_gpus)
+            .into_iter()
+            .map(|instance| {
+                let gpu = instance.gpu();
+                let terms = match node_terms.iter().find(|(g, _)| *g == gpu) {
+                    Some(&(_, terms)) => terms,
+                    None => {
+                        let terms = plan.node_terms(self, gpu, &options);
+                        node_terms.push((gpu, terms));
+                        terms
+                    }
+                };
+                let mut iteration = terms;
+                let gpus = instance.gpu_count();
+                self.add_comm(&mut iteration, gpu, gpus, plan.parameter_count(), &options);
+                let iterations = workload.total_samples.div_ceil(batch * gpus as u64);
+                let time_us = workload.epochs as f64 * (iteration.total_us() * iterations as f64);
+                let cost = time_us * instance.usd_per_microsecond();
+                // Data parallelism replicates the full model on every GPU,
+                // so the per-GPU requirement does not shrink with the count.
+                let fits_memory =
+                    !workload.enforce_memory_fit || memory.fits_gib(gpu.spec().memory_gib);
+                Candidate {
+                    instance,
+                    predicted_time_us: time_us,
+                    predicted_cost_usd: cost,
+                    fits_memory,
+                }
+            })
+            .collect()
     }
 
     /// Recommends the instance minimizing `objective` for training `cnn`.

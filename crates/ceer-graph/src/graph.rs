@@ -233,6 +233,20 @@ impl Graph {
         self.nodes.iter().map(|n| n.params).sum()
     }
 
+    /// The per-GPU batch size the graph was built with: the batch dimension
+    /// of its image placeholder, the first input-free rank-4 GPU tensor.
+    /// `None` when the graph has no such placeholder.
+    pub fn input_batch(&self) -> Option<u64> {
+        self.nodes
+            .iter()
+            .find(|n| {
+                n.inputs.is_empty()
+                    && n.output_shape.rank() == 4
+                    && n.kind.device_class() == DeviceClass::Gpu
+            })
+            .map(|n| n.output_shape.batch())
+    }
+
     /// Number of operations per kind.
     pub fn op_histogram(&self) -> BTreeMap<OpKind, usize> {
         let mut histogram = BTreeMap::new();
@@ -427,6 +441,17 @@ mod tests {
 mod json_tests {
     use super::*;
     use crate::models::{Cnn, CnnId};
+
+    #[test]
+    fn input_batch_finds_the_placeholder() {
+        let graph = Cnn::build(CnnId::AlexNet, 24).training_graph();
+        assert_eq!(graph.input_batch(), Some(24));
+    }
+
+    #[test]
+    fn input_batch_none_without_rank4_placeholder() {
+        assert_eq!(Graph::new("empty").input_batch(), None);
+    }
 
     #[test]
     fn graph_round_trips_through_json() {

@@ -9,10 +9,9 @@
 use ceer_cloud::{Catalog, Pricing};
 use ceer_core::estimate::IterationEstimate;
 use ceer_core::recommend::{Candidate, Objective, Workload};
-use ceer_core::{CeerModel, EstimateOptions};
+use ceer_core::{plan, CeerModel, EstimateOptions, PredictPlan};
 use ceer_gpusim::GpuModel;
-use ceer_graph::models::{Cnn, CnnId};
-use ceer_graph::Graph;
+use ceer_graph::models::CnnId;
 use serde::{Deserialize, Serialize};
 
 /// Resolves a user-supplied CNN name (`vgg16`, `VGG-16`, `resnet101`, …).
@@ -269,21 +268,21 @@ pub struct ZooEntry {
     pub training_memory_bytes: u64,
 }
 
-/// The `GET /zoo` listing (training graphs are built at batch 32, matching
-/// `ceer zoo`'s default).
+/// The `GET /zoo` listing (from the memoized batch-32 plans, matching
+/// `ceer zoo`'s default batch).
 pub fn zoo() -> Vec<ZooEntry> {
     CnnId::all()
         .iter()
         .map(|&id| {
-            let graph = Cnn::build(id, 32).training_graph();
+            let plan = plan::memoized(id, 32);
             ZooEntry {
                 name: id.name().to_string(),
-                parameters: graph.parameter_count(),
-                ops: graph.len() as u64,
+                parameters: plan.parameter_count(),
+                ops: plan.ops() as u64,
                 input_resolution: id.input_resolution(),
                 split: if CnnId::training_set().contains(&id) { "train" } else { "test" }
                     .to_string(),
-                training_memory_bytes: ceer_graph::analysis::estimate_memory(&graph).total_bytes(),
+                training_memory_bytes: plan.memory().total_bytes(),
             }
         })
         .collect()
@@ -324,33 +323,52 @@ pub fn catalog() -> Vec<CatalogEntry> {
         .collect()
 }
 
-/// Evaluates a predict request for a zoo CNN.
+/// The largest per-GPU batch a zoo request may ask for. Tensor sizes are
+/// `u64` byte counts that grow linearly in the batch; this bound keeps every
+/// one of them (and every product of batch and GPU count) far from
+/// overflow, and is well past any batch a GPU in the catalog can hold.
+pub const MAX_BATCH: u64 = 1 << 20;
+
+/// Evaluates a predict request for a zoo CNN, from the memoized plan of
+/// its (CNN, batch).
 ///
 /// # Errors
 ///
-/// Errors on unknown CNN/GPU names or non-positive counts.
+/// Errors on unknown CNN/GPU names, non-positive counts, a batch above
+/// [`MAX_BATCH`], or a GPU count above a targeted GPU model's largest
+/// offering.
 pub fn predict(model: &CeerModel, request: &PredictRequest) -> Result<PredictResponse, String> {
     let id = parse_cnn(&request.cnn)?;
     if request.batch == 0 {
         return Err("batch must be positive".into());
     }
-    let graph = Cnn::build(id, request.batch).training_graph();
-    predict_graph(model, id.name(), &graph, request)
+    let targets = predict_targets(request)?;
+    check_batch(request.batch)?;
+    let plan = plan::memoized(id, request.batch);
+    Ok(respond(model, id.name(), &plan, request, targets))
 }
 
-/// Evaluates a predict request against an explicit training graph (the
-/// `--graph` escape hatch for CNNs defined outside the zoo); `name` labels
-/// the response.
+/// Evaluates a predict request against a compiled training graph; `name`
+/// labels the response. This is the `--graph` escape hatch for CNNs
+/// defined outside the zoo: compile the graph with [`PredictPlan::compile`]
+/// (such plans never enter the memo).
 ///
 /// # Errors
 ///
-/// Errors on unknown GPU names or non-positive counts.
-pub fn predict_graph(
+/// Errors on unknown GPU names, non-positive counts, or a GPU count above
+/// a targeted GPU model's largest offering.
+pub fn predict_plan(
     model: &CeerModel,
     name: &str,
-    graph: &Graph,
+    plan: &PredictPlan,
     request: &PredictRequest,
 ) -> Result<PredictResponse, String> {
+    let targets = predict_targets(request)?;
+    Ok(respond(model, name, plan, request, targets))
+}
+
+/// Validates the counts of a predict request and resolves its GPU filter.
+fn predict_targets(request: &PredictRequest) -> Result<Vec<GpuModel>, String> {
     if request.gpus == 0 || request.batch == 0 || request.samples == 0 {
         return Err("gpus, batch and samples must be positive".into());
     }
@@ -358,12 +376,53 @@ pub fn predict_graph(
         Some(gpu) => vec![parse_gpu(gpu)?],
         None => GpuModel::all().to_vec(),
     };
+    check_gpu_count("gpus", request.gpus, &targets)?;
+    if request.batch.checked_mul(u64::from(request.gpus)).is_none() {
+        return Err(format!(
+            "batch {} x gpus {} overflows the global batch size",
+            request.batch, request.gpus
+        ));
+    }
+    Ok(targets)
+}
+
+/// Rejects a batch above [`MAX_BATCH`].
+fn check_batch(batch: u64) -> Result<(), String> {
+    if batch > MAX_BATCH {
+        return Err(format!("batch {batch} exceeds the maximum batch {MAX_BATCH}"));
+    }
+    Ok(())
+}
+
+/// Rejects a GPU count (`field`) above the largest offering of any of
+/// `targets`.
+fn check_gpu_count(field: &str, gpus: u32, targets: &[GpuModel]) -> Result<(), String> {
+    for &gpu in targets {
+        let most = Catalog::multi_offering(gpu).gpu_count;
+        if gpus > most {
+            return Err(format!(
+                "{field} {gpus} exceeds the largest {} offering ({most} GPUs)",
+                gpu.aws_family()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The response for a validated request over a compiled plan.
+fn respond(
+    model: &CeerModel,
+    name: &str,
+    plan: &PredictPlan,
+    request: &PredictRequest,
+    targets: Vec<GpuModel>,
+) -> PredictResponse {
     let catalog = Catalog::new(Pricing::OnDemand);
-    let iterations = request.samples.div_ceil(request.batch * request.gpus as u64);
+    let iterations = request.samples.div_ceil(request.batch * u64::from(request.gpus));
     let predictions = targets
         .into_iter()
         .map(|gpu| {
-            let estimate = model.predict_iteration(graph, gpu, request.gpus, &request.options);
+            let estimate = model.predict_plan(plan, gpu, request.gpus, &request.options);
             let instance = catalog.instance(gpu, request.gpus);
             let epoch_us = estimate.total_us() * iterations as f64;
             GpuPrediction {
@@ -379,23 +438,25 @@ pub fn predict_graph(
             }
         })
         .collect();
-    Ok(PredictResponse {
+    PredictResponse {
         cnn: name.to_string(),
-        parameters: graph.parameter_count(),
-        ops: graph.len() as u64,
+        parameters: plan.parameter_count(),
+        ops: plan.ops() as u64,
         batch: request.batch,
         gpus: request.gpus,
         samples: request.samples,
-        fully_covered: model.coverage(graph).is_fully_covered(),
+        fully_covered: model.plan_coverage(plan).is_fully_covered(),
         predictions,
-    })
+    }
 }
 
-/// Evaluates a recommend request.
+/// Evaluates a recommend request, from the memoized plan of its (CNN,
+/// batch).
 ///
 /// # Errors
 ///
-/// Errors on unknown CNN names or non-positive counts.
+/// Errors on unknown CNN names, non-positive counts, a batch above
+/// [`MAX_BATCH`], or a `max_gpus` above any GPU model's largest offering.
 pub fn recommend(
     model: &CeerModel,
     request: &RecommendRequest,
@@ -404,24 +465,22 @@ pub fn recommend(
     if request.samples == 0 || request.batch == 0 || request.max_gpus == 0 || request.epochs == 0 {
         return Err("samples, batch, max_gpus and epochs must be positive".into());
     }
+    check_gpu_count("max_gpus", request.max_gpus, GpuModel::all())?;
+    check_batch(request.batch)?;
     let objective = request.objective.unwrap_or(Objective::MinimizeCost);
-    let cnn = Cnn::build(id, request.batch);
+    let plan = plan::memoized(id, request.batch);
     let catalog =
         Catalog::new(if request.market { Pricing::MarketRatio } else { Pricing::OnDemand });
     let mut workload = Workload::new(request.samples, request.max_gpus).with_epochs(request.epochs);
     if request.memory_fit {
         workload = workload.with_memory_fit();
     }
-    let (best, ranking) = match model.recommend(&cnn, &catalog, &workload, &objective) {
-        Some(rec) => (Some(rec.best().clone()), rec.ranking().to_vec()),
-        None => {
-            // No feasible candidate: still report the evaluated field so the
-            // caller sees how far over budget everything is.
-            let mut ranking = model.evaluate_candidates(&cnn, &catalog, &workload);
-            ceer_stats::total::sort_by_f64_key(&mut ranking, |c| c.score(&objective));
-            (None, ranking)
-        }
-    };
+    // `CeerModel::recommend` over the plan: rank every candidate, and name
+    // the best only when it is feasible — with no feasible candidate the
+    // caller still sees how far over budget everything is.
+    let mut ranking = model.evaluate_plan_candidates(&plan, &catalog, &workload);
+    ceer_stats::total::sort_by_f64_key(&mut ranking, |c| c.score(&objective));
+    let best = ranking.first().filter(|c| c.is_feasible(&objective)).cloned();
     Ok(RecommendResponse { cnn: id.name().to_string(), objective, best, ranking })
 }
 
@@ -429,6 +488,7 @@ pub fn recommend(
 mod tests {
     use super::*;
     use ceer_core::{Ceer, FitConfig};
+    use ceer_graph::models::Cnn;
     use std::sync::OnceLock;
 
     fn model() -> &'static CeerModel {
@@ -521,6 +581,52 @@ mod tests {
         req.cnn = "resnet-50".into();
         req.gpus = 0;
         assert!(predict(model(), &req).is_err());
+    }
+
+    #[test]
+    fn out_of_range_counts_are_rejected_naming_the_limit() {
+        // Five GPUs on an all-GPU request: P3 offers at most four.
+        let mut req = predict_request();
+        req.cnn = "alexnet".into();
+        req.gpus = 5;
+        let err = predict(model(), &req).unwrap_err();
+        assert!(err.contains("gpus 5") && err.contains("P3") && err.contains("4 GPUs"), "{err}");
+        // P2 alone goes to eight, and no further.
+        req.gpu = Some("p2".into());
+        assert!(predict(model(), &req).is_ok());
+        req.gpus = 9;
+        assert!(predict(model(), &req).unwrap_err().contains("8 GPUs"));
+
+        // batch × gpus past u64: rejected before any graph is built.
+        let mut req = predict_request();
+        req.batch = 1 << 62;
+        req.gpus = 4;
+        assert!(predict(model(), &req).unwrap_err().contains("overflows"));
+        req.gpus = 1;
+        let err = predict(model(), &req).unwrap_err();
+        assert!(err.contains(&MAX_BATCH.to_string()), "{err}");
+        req.batch = MAX_BATCH + 1;
+        assert!(predict(model(), &req).is_err());
+        // The same limits guard a custom graph.
+        let plan = PredictPlan::compile(&Cnn::build(CnnId::AlexNet, 8).training_graph());
+        req.batch = 1 << 62;
+        req.gpus = 4;
+        assert!(predict_plan(model(), "custom", &plan, &req).unwrap_err().contains("overflows"));
+
+        let mut rec = RecommendRequest {
+            cnn: "alexnet".into(),
+            objective: None,
+            samples: 64_000,
+            batch: 32,
+            max_gpus: 5,
+            epochs: 1,
+            market: false,
+            memory_fit: false,
+        };
+        assert!(recommend(model(), &rec).unwrap_err().contains("max_gpus 5"));
+        rec.max_gpus = 4;
+        rec.batch = 1 << 62;
+        assert!(recommend(model(), &rec).unwrap_err().contains("maximum batch"));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The full CI gate: formatting, lints, release build, and the test suite.
+# The full CI gate: formatting, lints, release build, the test suite, and
+# the benchmark's own tests plus a short answer-checked benchmark run.
 # Everything runs offline (the registry dependencies are vendored under
 # vendor/). Fails fast on the first broken step.
 #
@@ -64,6 +65,23 @@ CEER_THREADS=1 cargo test -q --workspace
 
 echo "=== cargo test (CEER_THREADS=8) ==="
 CEER_THREADS=8 cargo test -q --workspace
+
+echo "=== perfbench (its own tests + a predict_miss smoke run) ==="
+# The benchmark is a workspace of its own (perfbench/Cargo.toml), so the
+# workspace test runs above do not reach its tests. The smoke run serves
+# fresh /predict keys for 3 seconds and byte-checks every answer against
+# api::predict on the served model; a run that is not "correct": true
+# exits non-zero, and the grep fails the gate on a missing verdict too.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+smoke_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload predict_miss --seed 1 --seconds 3 --trace 0)" || smoke_status=$?
+echo "$smoke_out" | tail -n 1
+if [ "${smoke_status:-0}" != 0 ] || ! echo "$smoke_out" | tail -n 1 | grep -q '"correct": true'; then
+    echo "perfbench predict_miss smoke run was not correct:"
+    echo "$smoke_out"
+    exit 1
+fi
+echo "perfbench passed (tests + predict_miss smoke)"
 
 echo "=== chaos suite (seeded fault injection) ==="
 # Each seed must pass with its own reproducible fault schedule; the suite

@@ -153,3 +153,37 @@ fn a_window_actually_coalesces_and_replays_byte_identically() {
     let (_, digest_b) = serve_concurrent(5);
     assert_eq!(digest_a, digest_b, "batched run replays byte-identically");
 }
+
+/// A request past a GPU model's largest offering, co-batched with a good
+/// one: each connection gets its own answer — 200 for the good request,
+/// 400 naming the limit for the bad one — and no panic is recovered, so
+/// the bad request never costs its neighbours their responses.
+#[test]
+fn an_invalid_request_in_a_batch_gets_a_400_and_spares_its_neighbours() {
+    let bad = r#"{"cnn":"alexnet","gpus":5}"#;
+    let bad_wire = format!(
+        "POST /predict HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{bad}",
+        bad.len()
+    );
+    let mut source = SimSource::new();
+    let good_client = source.connect_at(0);
+    source.send_at(good_client, 1, wire(8).as_bytes());
+    let bad_client = source.connect_at(0);
+    source.send_at(bad_client, 1, bad_wire.as_bytes());
+    let scrape = source.connect_at(50);
+    source.send_at(scrape, 51, b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
+    let mut core = core(source, 5);
+    core.run_until(5_000, 100_000).expect("sim run");
+
+    let good = String::from_utf8_lossy(core.source().received(good_client)).to_string();
+    assert!(good.starts_with("HTTP/1.1 200"), "good request answered: {good}");
+    assert_eq!(good.as_bytes(), serve_single(8), "and byte-identical to its single");
+    let bad = String::from_utf8_lossy(core.source().received(bad_client)).to_string();
+    assert!(bad.starts_with("HTTP/1.1 400"), "bad request rejected: {bad}");
+    assert!(bad.contains("gpus 5 exceeds the largest P3 offering (4 GPUs)"), "{bad}");
+
+    let scraped = String::from_utf8_lossy(core.source().received(scrape)).to_string();
+    let body = scraped.split("\r\n\r\n").nth(1).expect("metrics body");
+    let metrics: ceer::serve::MetricsSnapshot = serde_json::from_str(body).expect("metrics JSON");
+    assert_eq!(metrics.robustness.panics_recovered, 0, "no panic reached the reactor");
+}
